@@ -8,6 +8,7 @@ package driver_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -308,5 +309,27 @@ func TestStragglerClampLoneWorker(t *testing.T) {
 	}
 	if n := w.attemptCount(1); n != 1 {
 		t.Errorf("slow lone shard ran %d attempt(s), want exactly 1 (cutoff must not arm on one completed shard)", n)
+	}
+}
+
+// TestInProcessReturnsEmitError pins the emit-error hand-off: the first
+// error emit returns stops the census on every worker, and it is the
+// error InProcess.Run returns rather than census.ErrInterrupted.
+func TestInProcessReturnsEmitError(t *testing.T) {
+	errStop := errors.New("injected emit failure")
+	seen := 0
+	emit := func(census.PairResult) error {
+		seen++
+		if seen == 3 {
+			return errStop
+		}
+		return nil
+	}
+	err := driver.InProcess{}.Run(context.Background(), driver.Job{Config: template(36, 0)}, emit)
+	if !errors.Is(err, errStop) {
+		t.Fatalf("Run returned %v, want the emit error", err)
+	}
+	if seen != 3 {
+		t.Errorf("emit called %d times, want 3: records kept flowing after the emit error", seen)
 	}
 }

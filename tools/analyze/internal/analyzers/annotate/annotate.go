@@ -12,7 +12,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"torusmesh/tools/analyze/internal/analysis"
 )
 
 // Has reports whether a comment containing "torusmesh:<tag>" is

@@ -17,8 +17,7 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-
+	"torusmesh/tools/analyze/internal/analysis"
 	"torusmesh/tools/analyze/internal/analyzers/annotate"
 )
 

@@ -22,8 +22,7 @@ import (
 	"go/types"
 	"regexp"
 
-	"golang.org/x/tools/go/analysis"
-
+	"torusmesh/tools/analyze/internal/analysis"
 	"torusmesh/tools/analyze/internal/analyzers/annotate"
 )
 

@@ -19,8 +19,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
+	"torusmesh/tools/analyze/internal/analysis"
 	"torusmesh/tools/analyze/internal/analyzers/annotate"
 )
 

@@ -20,8 +20,7 @@ import (
 	"go/ast"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
+	"torusmesh/tools/analyze/internal/analysis"
 	"torusmesh/tools/analyze/internal/analyzers/annotate"
 )
 
@@ -31,14 +30,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// Packages is the comma-separated list of package-path suffixes the
-// analyzer applies to, overridable via -wallclock.packages.
-var Packages = "internal/serve,internal/driver,internal/census,internal/place"
-
-func init() {
-	Analyzer.Flags.StringVar(&Packages, "packages",
-		Packages, "comma-separated package-path suffixes the check applies to")
-}
+// packages is the comma-separated list of package-path suffixes the
+// analyzer applies to.
+const packages = "internal/serve,internal/driver,internal/census,internal/place"
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	if !applies(pass.Pkg.Path()) {
@@ -73,8 +67,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 func applies(path string) bool {
-	for _, suf := range strings.Split(Packages, ",") {
-		if suf = strings.TrimSpace(suf); suf != "" && strings.HasSuffix(path, suf) {
+	for _, suf := range strings.Split(packages, ",") {
+		if strings.HasSuffix(path, suf) {
 			return true
 		}
 	}

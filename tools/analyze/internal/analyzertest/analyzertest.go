@@ -1,11 +1,9 @@
 // Package analyzertest runs an analyzer over source fixtures and
 // checks its diagnostics against `// want "regexp"` comments, the way
-// golang.org/x/tools/go/analysis/analysistest does. It exists because
-// this module builds offline from a trimmed x/tools snapshot that does
-// not carry analysistest's go/packages dependency tree; fixtures are
-// parsed and type-checked with the standard library alone (the
+// golang.org/x/tools/go/analysis/analysistest does. Fixtures are
+// parsed and type-checked with the standard library alone: the
 // "source" importer compiles stdlib imports from GOROOT, and fixture
-// packages import each other by their path under testdata/src).
+// packages import each other by their path under testdata/src.
 package analyzertest
 
 import (
@@ -23,7 +21,7 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"torusmesh/tools/analyze/internal/analysis"
 )
 
 // Run loads testdata/src/<pkgPath> for each given package path, runs
@@ -101,15 +99,7 @@ func (ld *loader) load(path string) (*fixturePkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
+	info := analysis.NewInfo()
 	conf := types.Config{Importer: ld}
 	pkg, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {
@@ -122,20 +112,9 @@ func (ld *loader) load(path string) (*fixturePkg, error) {
 
 func (ld *loader) runPass(t *testing.T, a *analysis.Analyzer, fp *fixturePkg) []analysis.Diagnostic {
 	t.Helper()
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       ld.fset,
-		Files:      fp.files,
-		Pkg:        fp.pkg,
-		TypesInfo:  fp.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   map[*analysis.Analyzer]interface{}{},
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: analyzer error: %v", a.Name, err)
+	diags, err := analysis.Run(a, ld.fset, fp.files, fp.pkg, fp.info)
+	if err != nil {
+		t.Fatalf("analyzer error: %v", err)
 	}
 	return diags
 }
