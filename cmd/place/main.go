@@ -32,9 +32,7 @@
 // only, "all" to mix in segment reversals and axis-plane swaps).
 // Annealing runs execute concurrently (one per seed) with results
 // admitted in seed order, so the artifact is still scheduling-
-// independent, and use compact int32 placement tables on hosts whose
-// ranks fit — -wide-tables forces the historical []int form (identical
-// results). With -time, each run's wall time and steps/sec are
+// independent. With -time, each run's wall time and steps/sec are
 // reported.
 //
 // Exit codes: 0 = success; 1 = internal inconsistency (the search
@@ -69,7 +67,6 @@ func main() {
 	annealSteps := flag.Int("anneal-steps", 0, "move budget per annealing run (0 = default)")
 	annealMoves := flag.String("anneal-moves", "", "annealing move repertoire: swap (default) or all")
 	seed := flag.Int64("seed", 0, "annealing RNG seed (0 = default); same seed, same artifact")
-	wideTables := flag.Bool("wide-tables", false, "force wide []int annealing tables (default: compact int32 when the host fits; results are identical)")
 	jsonOut := flag.String("json", "", "write the search artifact to this file")
 	timing := flag.Bool("time", false, "report the wall time of the search")
 	flag.Parse()
@@ -77,10 +74,10 @@ func main() {
 	if *guest == "" || *host == "" {
 		fatalf("place: both -from and -to are required")
 	}
-	if !*anneal && (*annealSteps != 0 || *seed != 0 || *annealMoves != "" || *wideTables) {
+	if !*anneal && (*annealSteps != 0 || *seed != 0 || *annealMoves != "") {
 		// Silently ignoring these would let a user believe the seed
 		// shaped the result.
-		fatalf("place: -seed, -anneal-steps, -anneal-moves and -wide-tables require -anneal")
+		fatalf("place: -seed, -anneal-steps and -anneal-moves require -anneal")
 	}
 	g, err := grid.ParseSpec(*guest)
 	if err != nil {
@@ -106,7 +103,6 @@ func main() {
 		AnnealSteps: *annealSteps,
 		AnnealMoves: *annealMoves,
 		Seed:        *seed,
-		WideTables:  *wideTables,
 		Strategies:  place.DefaultStrategies(),
 	})
 	if err != nil {

@@ -29,11 +29,11 @@
 // reveals goroutine stacks and heap contents).
 //
 // The search flags (-objective, -budget, -cap, -rotations, -anneal,
-// -anneal-steps, -anneal-moves, -seed, -wide-tables) take the same
-// defaults as the place CLI, so a served front is byte-identical to
-// `place -json` output for the same pair and flags. A cache directory
-// is bound to one search configuration; reopening it under different
-// flags is a startup error.
+// -anneal-steps, -anneal-moves, -seed) take the same defaults as the
+// place CLI, so a served front is byte-identical to `place -json`
+// output for the same pair and flags. A cache directory is bound to one
+// search configuration; reopening it under different flags is a
+// startup error.
 //
 // Exit codes: 0 = clean shutdown (SIGINT/SIGTERM); 2 = usage or
 // startup errors.
@@ -76,11 +76,10 @@ func main() {
 	annealSteps := flag.Int("anneal-steps", 0, "move budget per annealing run (0 = default)")
 	annealMoves := flag.String("anneal-moves", "", "annealing move repertoire: swap (default) or all")
 	seed := flag.Int64("seed", 0, "annealing RNG seed (0 = default)")
-	wideTables := flag.Bool("wide-tables", false, "force wide []int annealing tables")
 	flag.Parse()
 
-	if !*anneal && (*annealSteps != 0 || *seed != 0 || *annealMoves != "" || *wideTables) {
-		fatalf("placed: -seed, -anneal-steps, -anneal-moves and -wide-tables require -anneal")
+	if !*anneal && (*annealSteps != 0 || *seed != 0 || *annealMoves != "") {
+		fatalf("placed: -seed, -anneal-steps and -anneal-moves require -anneal")
 	}
 	obj, err := place.ParseObjective(*objective)
 	if err != nil {
@@ -97,7 +96,6 @@ func main() {
 			AnnealSteps: *annealSteps,
 			AnnealMoves: *annealMoves,
 			Seed:        *seed,
-			WideTables:  *wideTables,
 			Strategies:  place.DefaultStrategies(),
 		},
 		CacheDir:      *cacheDir,

@@ -83,7 +83,6 @@ func main() {
 	placeAnneal := flag.Bool("place-anneal", false, "refine each pair's placement front by seeded simulated annealing")
 	placeAnnealMoves := flag.String("place-anneal-moves", "", "annealing move repertoire of the placement searches: swap (default) or all")
 	placeSeed := flag.Int64("place-seed", 0, "annealing RNG seed of the placement searches (0 = default)")
-	placeWideTables := flag.Bool("place-wide-tables", false, "force wide []int annealing tables in the placement searches (results are identical)")
 	jsonOut := flag.String("json", "", "write the census artifact to this file")
 	ndjsonOut := flag.String("ndjson", "", "write the census as an NDJSON stream artifact to this file")
 	merge := flag.Bool("merge", false, "merge the shard artifacts (files, globs or directories) named as arguments instead of sweeping")
@@ -148,14 +147,13 @@ func main() {
 			Anneal:      *placeAnneal,
 			AnnealMoves: *placeAnnealMoves,
 			Seed:        *placeSeed,
-			WideTables:  *placeWideTables,
 			Strategies:  place.DefaultStrategies(),
 		})
-	} else if *placeAnneal || *placeSeed != 0 || *placeAnnealMoves != "" || *placeWideTables {
-		fatalf("sweep: -place-anneal, -place-anneal-moves, -place-seed and -place-wide-tables require -place")
+	} else if *placeAnneal || *placeSeed != 0 || *placeAnnealMoves != "" {
+		fatalf("sweep: -place-anneal, -place-anneal-moves and -place-seed require -place")
 	}
-	if *doPlace && !*placeAnneal && (*placeSeed != 0 || *placeAnnealMoves != "" || *placeWideTables) {
-		fatalf("sweep: -place-seed, -place-anneal-moves and -place-wide-tables require -place-anneal")
+	if *doPlace && !*placeAnneal && (*placeSeed != 0 || *placeAnnealMoves != "") {
+		fatalf("sweep: -place-seed and -place-anneal-moves require -place-anneal")
 	}
 	if *worker {
 		runWorker(cfg, *resume, *workerAbort)

@@ -19,6 +19,8 @@ func TestParseShape(t *testing.T) {
 		{"4x1x3", nil, false},
 		{"4xax3", nil, false},
 		{"0", nil, false},
+		{"4294967296x4294967296", nil, false}, // 2^64 nodes: Size would wrap to 0
+		{"9223372036854775807x2", nil, false}, // Size would wrap to -2
 	}
 	for _, c := range cases {
 		got, err := ParseShape(c.in)

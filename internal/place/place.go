@@ -230,15 +230,6 @@ type Config struct {
 	// DefaultAnnealSeed). Two searches with equal configs — seed
 	// included — produce identical artifacts.
 	Seed int64
-	// WideTables forces the annealing pass's placement tables into the
-	// historical []int representation. By default the pass uses compact
-	// int32 tables whenever the host's ranks fit (always, for any host
-	// below 2³¹ nodes), halving table memory. The two representations
-	// are bit-for-bit identical in results, so this knob exists for
-	// benchmarks and escape-hatch debugging and is deliberately NOT part
-	// of Config.Spec(): artifacts do not depend on it.
-	//torusmesh:nospec
-	WideTables bool
 	// Clock substitutes the wall clock behind Result.Elapsed and the
 	// per-run AnnealRuns timings. Nil means time.Now. Wall times
 	// serialize as json:"-" and never enter artifacts, so the clock is

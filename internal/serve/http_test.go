@@ -308,6 +308,9 @@ func TestHTTPErrors(t *testing.T) {
 		{"/place", http.StatusBadRequest},                            // missing params
 		{"/place?from=bogus&to=mesh:4x4", http.StatusBadRequest},     // unparsable spec
 		{"/place?from=torus:4x2&to=mesh:4x4", http.StatusBadRequest}, // size mismatch
+		// Node counts that overflow int.
+		{"/place?from=mesh:4294967296x4294967296&to=torus:4294967296x4294967296", http.StatusBadRequest},
+		{"/place?from=mesh:9223372036854775807x2&to=torus:9223372036854775807x2", http.StatusBadRequest},
 		{"/artifact?from=torus:9x9&to=torus:9x9", http.StatusNotFound},
 		{"/warm", http.StatusMethodNotAllowed}, // GET on a POST endpoint
 	}
